@@ -60,10 +60,13 @@ mpq-smoke:
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/backend/ ./internal/serve/ ./internal/study/ ./internal/cluster/
 
-# fuzz exercises the binary-format parsers beyond their committed corpora.
+# fuzz exercises the binary-format parsers beyond their committed corpora,
+# and the integer conv engine against its reference kernels beyond the
+# seeded geometries.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s
+	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzIntConv -fuzztime 30s
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

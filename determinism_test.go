@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"seneca/internal/graph"
 	"seneca/internal/par"
 	"seneca/internal/quant"
 	"seneca/internal/tensor"
@@ -18,7 +19,9 @@ import (
 	"seneca/internal/xmodel"
 )
 
-func testProgram(t *testing.T, name string, size int) *xmodel.Program {
+// testGraph exports the named U-Net at size×size, shallowed until the
+// bottleneck keeps at least two pixels.
+func testGraph(t *testing.T, name string, size int) *graph.Graph {
 	t.Helper()
 	cfg, err := unet.ConfigByName(name)
 	if err != nil {
@@ -27,9 +30,40 @@ func testProgram(t *testing.T, name string, size int) *xmodel.Program {
 	for (1 << (cfg.Depth + 1)) > size {
 		cfg.Depth--
 	}
-	m := unet.New(cfg)
-	g := m.Export(size, size)
-	q, err := quant.QuantizeShapeOnly(g)
+	return unet.New(cfg).Export(size, size)
+}
+
+func testProgram(t *testing.T, name string, size int) *xmodel.Program {
+	t.Helper()
+	q, err := quant.QuantizeShapeOnly(testGraph(t, name, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := xmodel.Compile(q, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// precisionProgram compiles the named U-Net with PTQ on seeded noise
+// slices, giving the i-th convolution of the folded graph (topological
+// order) the bitwidth bitsFor(i).
+func precisionProgram(t *testing.T, name string, size int, bitsFor func(i int) int) *xmodel.Program {
+	t.Helper()
+	g := testGraph(t, name, size)
+	folded, err := quant.Fold(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc := &quant.QConfig{Layers: map[string]int{}}
+	for _, n := range folded.Nodes {
+		if n.Kind == graph.KindConv || n.Kind == graph.KindConvTranspose {
+			qc.Layers[n.Name] = bitsFor(len(qc.Layers))
+		}
+	}
+	calib := []*tensor.Tensor{randomImage(size, 1), randomImage(size, 2)}
+	q, err := quant.PTQ(g, calib, quant.Options{Config: qc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,26 +91,43 @@ func sweepWorkers(t *testing.T, body func(workers int)) {
 	}
 }
 
+// TestINT8MaskBitIdenticalAcrossWorkerCounts sweeps the integer engine over
+// three precision mixes: uniform INT8, all-INT4 (the tiled kernels with the
+// 4-bit clamp) and a mixed INT4/INT8/FP32 program.
 func TestINT8MaskBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	prog := testProgram(t, "1M", 32)
-	img := randomImage(32, 7)
-	prev := par.SetMaxWorkers(1)
-	defer par.SetMaxWorkers(prev)
-	want, err := prog.Run(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepWorkers(t, func(workers int) {
-		got, err := prog.Run(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: mask diverges from serial run at pixel %d: %d vs %d", workers, i, got[i], want[i])
+	for _, tc := range []struct {
+		name    string
+		bitsFor func(i int) int // nil: uniform INT8, shape-only quantized
+	}{
+		{"int8", nil},
+		{"int4", func(int) int { return quant.Bits4 }},
+		{"mixed", func(i int) int { return []int{quant.Bits4, quant.Bits8, quant.BitsFP32}[i%3] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := testProgram(t, "1M", 32)
+			if tc.bitsFor != nil {
+				prog = precisionProgram(t, "1M", 32, tc.bitsFor)
 			}
-		}
-	})
+			img := randomImage(32, 7)
+			prev := par.SetMaxWorkers(1)
+			defer par.SetMaxWorkers(prev)
+			want, err := prog.Run(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweepWorkers(t, func(workers int) {
+				got, err := prog.Run(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d: mask diverges from serial run at pixel %d: %d vs %d", workers, i, got[i], want[i])
+					}
+				}
+			})
+		})
+	}
 }
 
 func TestFP32ForwardBitIdenticalAcrossWorkerCounts(t *testing.T) {

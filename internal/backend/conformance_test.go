@@ -2,6 +2,12 @@ package backend
 
 import (
 	"testing"
+
+	"seneca/internal/graph"
+	"seneca/internal/quant"
+	"seneca/internal/tensor"
+	"seneca/internal/unet"
+	"seneca/internal/xmodel"
 )
 
 // conformanceTolerance is the documented per-backend accuracy contract:
@@ -9,7 +15,7 @@ import (
 // INT8 execution. Every registered kind MUST have an entry — the suite
 // fails the moment a new executor registers without declaring its
 // tolerance. All current backends execute the quantized graph through the
-// same INT8 kernels, so their tolerance is exactly zero (bit-identical
+// same quant executor, so their tolerance is exactly zero (bit-identical
 // masks); a future approximate executor (e.g. a pruned or FP16 variant)
 // would register a nonzero bound here and document why.
 var conformanceTolerance = map[string]float64{
@@ -18,9 +24,38 @@ var conformanceTolerance = map[string]float64{
 	KindGPUSim:  0,
 }
 
+// mixedTestProgram compiles the conformance U-Net with a per-layer
+// precision mix — INT4, INT8 and FP32-fallback convolutions in rotation —
+// calibrated with PTQ on the given slices.
+func mixedTestProgram(t *testing.T, size int, calib []*tensor.Tensor) *xmodel.Program {
+	t.Helper()
+	cfg := unet.Config{Name: "tiny-mixed", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, DropoutRate: 0, Seed: 2}
+	g := unet.New(cfg).Export(size, size)
+	folded, err := quant.Fold(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc := &quant.QConfig{Layers: map[string]int{}}
+	for _, n := range folded.Nodes {
+		if n.Kind == graph.KindConv || n.Kind == graph.KindConvTranspose {
+			qc.Layers[n.Name] = []int{quant.Bits4, quant.Bits8, quant.BitsFP32}[len(qc.Layers)%3]
+		}
+	}
+	q, err := quant.PTQ(g, calib, quant.Options{Config: qc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := xmodel.Compile(q, cfg.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 // TestConformanceAllBackends runs the synthetic phantom slice set through
 // every registered backend and holds each one to its declared tolerance
-// against the reference INT8 path (the quantized graph executed directly).
+// against the reference path (the quantized graph executed directly), for a
+// uniform INT8 program and a mixed INT4/INT8/FP32 one.
 func TestConformanceAllBackends(t *testing.T) {
 	const size = 32
 	dev, prog := testProgram(t, size)
@@ -28,14 +63,23 @@ func TestConformanceAllBackends(t *testing.T) {
 	if len(imgs) == 0 {
 		t.Fatal("phantom set is empty")
 	}
+	programs := []struct {
+		name string
+		prog *xmodel.Program
+		ref  [][]uint8
+	}{
+		{name: "int8", prog: prog},
+		{name: "mixed", prog: mixedTestProgram(t, size, imgs)},
+	}
 
-	// Reference: the bit-accurate INT8 execution of the compiled graph.
-	ref := make([][]uint8, len(imgs))
-	for i, img := range imgs {
-		var err error
-		ref[i], err = prog.Graph.ExecuteLabels(img)
-		if err != nil {
-			t.Fatal(err)
+	// Reference: the bit-accurate execution of each compiled graph.
+	for p := range programs {
+		for _, img := range imgs {
+			ref, err := programs[p].prog.Graph.ExecuteLabels(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			programs[p].ref = append(programs[p].ref, ref)
 		}
 	}
 
@@ -46,34 +90,37 @@ func TestConformanceAllBackends(t *testing.T) {
 			if !ok {
 				t.Fatalf("backend kind %q has no conformance tolerance entry; every registered executor must declare one", kind)
 			}
-			be, err := New(kind, dev, prog, Options{Threads: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			masks, rep, err := be.Execute(imgs, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(masks) != len(imgs) {
-				t.Fatalf("%d masks for %d images", len(masks), len(imgs))
-			}
-			if rep.Frames != len(imgs) || rep.Duration <= 0 || rep.Joules <= 0 {
-				t.Fatalf("degenerate report %+v", rep)
-			}
-			for i := range masks {
-				if len(masks[i]) != len(ref[i]) {
-					t.Fatalf("frame %d: mask length %d, want %d", i, len(masks[i]), len(ref[i]))
+			for _, p := range programs {
+				be, err := New(kind, dev, p.prog, Options{Threads: 2})
+				if err != nil {
+					t.Fatal(err)
 				}
-				diff := 0
-				for j := range ref[i] {
-					if masks[i][j] != ref[i][j] {
-						diff++
+				masks, rep, err := be.Execute(imgs, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(masks) != len(imgs) {
+					t.Fatalf("%s: %d masks for %d images", p.name, len(masks), len(imgs))
+				}
+				if rep.Frames != len(imgs) || rep.Duration <= 0 || rep.Joules <= 0 {
+					t.Fatalf("%s: degenerate report %+v", p.name, rep)
+				}
+				ref := p.ref
+				for i := range masks {
+					if len(masks[i]) != len(ref[i]) {
+						t.Fatalf("%s frame %d: mask length %d, want %d", p.name, i, len(masks[i]), len(ref[i]))
 					}
-				}
-				frac := float64(diff) / float64(len(ref[i]))
-				if frac > tol {
-					t.Fatalf("frame %d: %d/%d pixels (%.4f) differ from the reference INT8 path, tolerance %.4f",
-						i, diff, len(ref[i]), frac, tol)
+					diff := 0
+					for j := range ref[i] {
+						if masks[i][j] != ref[i][j] {
+							diff++
+						}
+					}
+					frac := float64(diff) / float64(len(ref[i]))
+					if frac > tol {
+						t.Fatalf("%s frame %d: %d/%d pixels (%.4f) differ from the reference path, tolerance %.4f",
+							p.name, i, diff, len(ref[i]), frac, tol)
+					}
 				}
 			}
 		})

@@ -8,13 +8,13 @@ import (
 )
 
 // Executor runs a quantized graph with a pre-sized scratch arena: one int8
-// activation buffer per node output, a per-worker im2col tile arena for the
-// blocked convolution path, one int32 transpose-convolution column buffer
-// and one int32 accumulator region, all sized once from the compiled graph
-// and reused across layers and frames. This removes every steady-state
-// allocation from the INT8 execute path — the per-layer
-// make([]int8/int32, …) churn that made the functional executor slower than
-// the FP32 forward pass.
+// activation buffer per node output, the padded biased input plane and
+// per-worker zero-point tiles of the blocked convolution path, one int32
+// transpose-convolution column buffer and one int32 accumulator region, all
+// sized once from the compiled graph and reused across layers and frames.
+// This removes every steady-state allocation from the INT8 execute path —
+// the per-layer make([]int8/int32, …) churn that made the functional
+// executor slower than the FP32 forward pass.
 //
 // An Executor is NOT safe for concurrent use; concurrent callers each take
 // their own from a pool (QGraph keeps one internally, dpu.Device keeps one
@@ -23,7 +23,7 @@ type Executor struct {
 	g    *QGraph
 	acts map[string]*activation
 
-	sc     convScratch // per-chunk im2col tile bands for the blocked conv path
+	sc     convScratch // padded input plane and per-chunk tile bands for the blocked conv path
 	cols   []uint8     // biased HWC transpose scratch, max over transpose convolutions
 	rowSum []int32     // per-pixel zero-point sums, max transpose conv H·W
 	cols32 []int32     // Wᵀ·x column scratch, max over transpose convolutions
@@ -41,7 +41,7 @@ func roundUp4(n int) int { return (n + 3) / 4 * 4 }
 func NewExecutor(q *QGraph) (*Executor, error) {
 	e := &Executor{g: q, acts: make(map[string]*activation, len(q.Nodes))}
 	var maxCols, maxRowSum, maxCols32, maxAcc int
-	var maxTileCols, maxTileRow int
+	var maxTileRow int
 	for _, n := range q.Nodes {
 		var out *activation
 		in := func(i int) (*activation, error) {
@@ -81,11 +81,7 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 			}
 			oh, ow := n.OutShape[1], n.OutShape[2]
 			out = &activation{data: make([]int8, n.OutC*oh*ow), c: n.OutC, h: oh, w: ow}
-			ckk := a.c * n.Kernel * n.Kernel
-			rowsPer := convTileRows(ow, ckk, oh)
-			if c := rowsPer * ow * ckk; c > maxTileCols {
-				maxTileCols = c
-			}
+			rowsPer := convTileRows(ow, a.c*n.Kernel*n.Kernel, oh)
 			if c := rowsPer * ow; c > maxTileRow {
 				maxTileRow = c
 			}
@@ -179,7 +175,7 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 	e.acc = make([]int32, maxAcc)
 	// Pre-size one tile band (the serial case) so single-worker steady-state
 	// execution never allocates; more workers grow the arena on first use.
-	e.sc.ensure(1, maxTileCols, maxTileRow)
+	e.sc.ensure(1, maxTileRow)
 	return e, nil
 }
 
@@ -200,31 +196,32 @@ func (e *Executor) run(img *tensor.Tensor, tap func(*QNode, *activation)) error 
 			QuantizeSlice(img.Data, q.InputFP, out.data)
 			out.fp = q.InputFP
 		case graph.KindConv:
+			// One integer engine for every bitwidth (here and for transpose
+			// convolutions): the packed kernels run every integer layer whose
+			// geometry they cover, and an INT4 layer clamps their 8-bit
+			// write-back to its grid; the reference kernels run the rest at
+			// the layer's own bits.
 			in := e.acts[n.Inputs[0]]
-			switch effBits(n) {
-			case Bits8:
-				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				packed, wCorr := n.convPacked()
-				convInt8(in.data, in.c, in.h, in.w, n.Weight, packed, wCorr, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, &e.sc)
-			case Bits4:
-				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				convIntRef(in.data, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.FusedReLU, Bits4, out.data, out.h, out.w)
-			case BitsFP32:
+			shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
+			if bits := effBits(n); bits == BitsFP32 {
 				convFP32Ref(in.data, in.fp, in.c, in.h, in.w, n.WeightF, n.BiasF, n.OutC, n.Kernel, n.Stride, n.Pad, n.FusedReLU, n.OutFP, out.data, out.h, out.w)
+			} else if packed, wCorr := n.convPacked(); packed != nil {
+				convInt8(in.data, in.c, in.h, in.w, packed, wCorr, n.Bias, n.OutC, n.Kernel, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, &e.sc)
+				clampBits(out.data, bits)
+			} else {
+				convIntRef(in.data, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, bits, out.data, out.h, out.w)
 			}
 			out.fp = n.OutFP
 		case graph.KindConvTranspose:
 			in := e.acts[n.Inputs[0]]
-			switch effBits(n) {
-			case Bits8:
-				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				packed, wCorr := n.dconvPacked()
-				convTransposeInt8(in.data, in.c, in.h, in.w, n.Weight, packed, wCorr, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, e.cols, e.rowSum, e.cols32, e.acc)
-			case Bits4:
-				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				convTransposeIntRef(in.data, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.FusedReLU, Bits4, out.data, out.h, out.w)
-			case BitsFP32:
+			shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
+			if bits := effBits(n); bits == BitsFP32 {
 				convTransposeFP32Ref(in.data, in.fp, in.c, in.h, in.w, n.WeightF, n.BiasF, n.OutC, n.Kernel, n.Stride, n.Pad, n.FusedReLU, n.OutFP, out.data, out.h, out.w)
+			} else if packed, wCorr := n.dconvPacked(); packed != nil {
+				convTransposeInt8(in.data, in.c, in.h, in.w, packed, wCorr, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, e.cols, e.rowSum, e.cols32, e.acc)
+				clampBits(out.data, bits)
+			} else {
+				convTransposeIntRef(in.data, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, bits, out.data, out.h, out.w)
 			}
 			out.fp = n.OutFP
 		case graph.KindMaxPool:

@@ -9,8 +9,8 @@ import (
 
 // TestExecutorReuseBitIdentical runs one executor across many frames and
 // checks every mask against a fresh executor. Arena buffers are reused dirty
-// between frames, so any kernel that reads stale state (unzeroed im2col
-// padding, uncleaned accumulators) diverges here.
+// between frames, so any kernel that reads stale state (unzeroed padding,
+// uncleaned accumulators) diverges here.
 func TestExecutorReuseBitIdentical(t *testing.T) {
 	_, g, calib := buildTestModel(t)
 	q, err := PTQ(g, calib, Options{})

@@ -32,11 +32,11 @@ func clearInt32(s []int32) {
 	}
 }
 
-// maxPackedCKK bounds C·K² for the tri-lane packed convolution kernel: the
+// maxPackedCKK bounds C·K² for the tri-lane packed convolution kernels: the
 // per-channel biased sum Σ(w+128)(x+128) must stay an exact int32, and
 // 32768·255² < 2³¹ guarantees it (lane carries within a packed accumulator
-// are prevented separately by the triChunk spill, see convTri4Block).
-// Larger reductions use the generic kernel.
+// are prevented separately by the triChunk spill below). Deeper reductions
+// run the lowbit.go reference kernels (see QNode.convPacked).
 const maxPackedCKK = 1 << 15
 
 // Tri-lane packing geometry: three output channels share one uint64 in
@@ -60,7 +60,7 @@ const (
 //
 //	acc = laneSum − rowSum[j] + wCorr[oc]
 //
-// where rowSum[j] = 128·Σ of pixel j's biased taps (see im2colInt8).
+// where rowSum[j] = 128·Σ of pixel j's biased taps (see rowSumBand).
 // Tri rows are padded to a multiple of four with all-zero ghost rows so the
 // kernel always runs its fully-unrolled four-row form; ghost channels
 // multiply to zero and their lanes are never written back.
@@ -83,26 +83,15 @@ func packConvWeights(weight []int8, outC, ckk int) ([]uint64, []int32) {
 	return packed, wCorr
 }
 
-// im2colInt8 lowers an int8 CHW image into the TAP-MAJOR, biased-unsigned
-// column matrix colT[C·K², OH·OW] (see im2colTaps, which does the work one
-// output-row band at a time for the tiled convolution path).
-func im2colInt8(src []int8, c, h, w, k, stride, pad int, dst []uint8, rowSum []int32, oh, ow int) {
-	padded := make([]uint8, c*(h+2*pad)*(w+2*pad))
-	prefix := make([]int32, c*h*(w+1))
-	biasPrefixPadded(src, c, h, w, pad, padded, prefix)
-	im2colTaps(padded, c, h, w, k, stride, pad, 0, oh, ow, dst)
-	rowSumBand(prefix, c, h, w, k, stride, pad, 0, oh, ow, rowSum)
-}
-
 // biasPrefixPadded converts an int8 CHW image to its biased-unsigned form
 // (tap+128, a sign-bit flip) written into a zero-padded plane of
 // (h+2·pad)×(w+2·pad) per channel — padding cells hold 128, the biased
 // zero — and builds per-row prefix sums of the unpadded biased bytes:
 // prefix[(ci·h+iy)·(w+1)+x] = Σ of the first x biased samples of row
-// (ci, iy). The padded plane lets both the band lowering and the direct
-// GEMM kernels read any kernel tap with an unconditional shifted load; the
-// prefix sums price every pixel's zero-point correction with two lookups
-// instead of summing its C·K² taps byte by byte.
+// (ci, iy). The padded plane lets the direct GEMM kernels read any kernel
+// tap with an unconditional shifted load; the prefix sums price every
+// pixel's zero-point correction with two lookups instead of summing its
+// C·K² taps byte by byte.
 func biasPrefixPadded(src []int8, c, h, w, pad int, padded []uint8, prefix []int32) {
 	ph, pw := h+2*pad, w+2*pad
 	if pad > 0 {
@@ -128,59 +117,21 @@ func biasPrefixPadded(src []int8, c, h, w, pad int, padded []uint8, prefix []int
 	}
 }
 
-// im2colTaps lowers the output-row band [oyLo, oyHi) of a biased image (see
-// biasPrefix) into the TAP-MAJOR, biased-unsigned column matrix
-// colT[C·K², npix]: row p holds kernel tap p of every output pixel in the
-// band, contiguously, stored as tap+128 (so padding taps are 128 — a zero
-// sample on the biased grid). Tap-major layout makes the stride-1 fill a
-// handful of copy() calls per tap row, and lets the GEMM kernels load four
-// neighbouring pixels with one 32-bit read. rowSum[j] receives 128·Σ(taps
-// of pixel j), the per-pixel half of the zero-point correction that
-// recovers exact signed accumulators from the packed GEMM; it comes from
-// the prefix sums, not from re-summing the copied bytes. A reused (dirty)
-// dst buffer is fully overwritten. Runs serially: the tiled convolution
-// dispatch already parallelizes across bands.
-func im2colTaps(padded []uint8, c, h, w, k, stride, pad, oyLo, oyHi, ow int, dst []uint8) {
-	npix := (oyHi - oyLo) * ow
-	ph, pw := h+2*pad, w+2*pad
-	for ci := 0; ci < c; ci++ {
-		plane := padded[ci*ph*pw : (ci+1)*ph*pw]
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				p := (ci*k+ky)*k + kx
-				drow := dst[p*npix : (p+1)*npix]
-				for oy := oyLo; oy < oyHi; oy++ {
-					// Padded-plane coordinates: tap (ky,kx) of output pixel
-					// (oy,ox) lives at (oy·stride+ky, ox·stride+kx) — always
-					// in bounds, padding cells already hold 128.
-					seg := drow[(oy-oyLo)*ow : (oy-oyLo)*ow+ow]
-					prow := plane[(oy*stride+ky)*pw+kx:]
-					if stride == 1 {
-						copy(seg, prow[:ow])
-						continue
-					}
-					for ox := range seg {
-						seg[ox] = prow[ox*stride]
-					}
-				}
-			}
-		}
-	}
-}
-
 // rowSumBand fills rowSum[j] = 128·Σ(biased taps of band pixel j) for the
 // output-row band [oyLo, oyHi) — the per-pixel half of the packed GEMM's
 // zero-point correction — from per-row prefix sums (see biasPrefixPadded).
-func rowSumBand(prefix []int32, c, h, w, k, stride, pad, oyLo, oyHi, ow int, rowSum []int32) {
+// The packed kernels run stride 1 only, so output pixel (oy, ox) reads the
+// window whose top-left input tap is (oy−pad, ox−pad).
+func rowSumBand(prefix []int32, c, h, w, k, pad, oyLo, oyHi, ow int, rowSum []int32) {
 	// Zero-point sums from the per-row prefix sums. Horizontally interior
 	// pixels (full k-wide window) are swept per (channel, tap-row) so the
-	// inner loop is two loads and an add with no clamping; only the ≤k/stride
+	// inner loop is two loads and an add with no clamping; only the ≤pad
 	// boundary pixels per side run the generic clamped path.
-	oxL := ceilDivInt(pad, stride)
+	oxL := pad
 	if oxL > ow {
 		oxL = ow
 	}
-	oxR := floorDivInt(w-k+pad, stride) + 1
+	oxR := w - k + pad + 1
 	if oxR > ow {
 		oxR = ow
 	}
@@ -188,7 +139,7 @@ func rowSumBand(prefix []int32, c, h, w, k, stride, pad, oyLo, oyHi, ow int, row
 		oxR = oxL
 	}
 	for oy := oyLo; oy < oyHi; oy++ {
-		iy0 := oy*stride - pad
+		iy0 := oy - pad
 		kyLo := 0
 		if iy0 < 0 {
 			kyLo = -iy0
@@ -203,7 +154,7 @@ func rowSumBand(prefix []int32, c, h, w, k, stride, pad, oyLo, oyHi, ow int, row
 		row := rowSum[(oy-oyLo)*ow : (oy-oyLo)*ow+ow]
 		for _, r := range [2][2]int{{0, oxL}, {oxR, ow}} {
 			for ox := r[0]; ox < r[1]; ox++ {
-				ix0 := ox*stride - pad
+				ix0 := ox - pad
 				kxLo := 0
 				if ix0 < 0 {
 					kxLo = -ix0
@@ -238,19 +189,12 @@ func rowSumBand(prefix []int32, c, h, w, k, stride, pad, oyLo, oyHi, ow int, row
 		for ci := 0; ci < c; ci++ {
 			pref := prefix[ci*h*(w+1) : (ci+1)*h*(w+1)]
 			for ky := kyLo; ky < kyHi; ky++ {
-				pb := (iy0+ky)*(w+1) + oxL*stride - pad
-				if stride == 1 {
-					pa := pref[pb : pb+len(in)]
-					pc := pref[pb+k : pb+k+len(in)]
-					pc = pc[:len(in)]
-					for i := range pa {
-						in[i] += pc[i] - pa[i]
-					}
-				} else {
-					for i := range in {
-						in[i] += pref[pb+k] - pref[pb]
-						pb += stride
-					}
+				pb := (iy0+ky)*(w+1) + oxL - pad
+				pa := pref[pb : pb+len(in)]
+				pc := pref[pb+k : pb+k+len(in)]
+				pc = pc[:len(in)]
+				for i := range pa {
+					in[i] += pc[i] - pa[i]
 				}
 			}
 		}
@@ -337,25 +281,38 @@ func finalizeInt8(acc []int32, bias int32, relu bool, shift, shift2 int, out []i
 	}
 }
 
-// colTile is one worker's im2col scratch band for the tiled convolution
-// path: a few output rows' worth of biased column matrix plus the matching
-// per-pixel zero-point sums.
-type colTile struct {
-	cols   []uint8
-	rowSum []int32
+// clampBits saturates a layer's write-back to the signed bits-wide grid.
+// Narrow integer layers run the INT8 kernels — their codes are a subset of
+// the int8 grid and accumulation is exact — and clamping the 8-bit result
+// afterwards is exact too: RoundShiftBits(v, s, b) equals RoundShift(v, s)
+// clamped to ±QMaxBits(b), and a fused ReLU commutes with the clamp.
+func clampBits(dst []int8, bits int) {
+	if bits >= Bits8 {
+		return
+	}
+	hi := int8(QMaxBits(bits))
+	lo := -hi - 1
+	for i, v := range dst {
+		if v > hi {
+			dst[i] = hi
+		} else if v < lo {
+			dst[i] = lo
+		}
+	}
 }
 
-// convScratch owns the per-chunk tile arena. Tile id == par chunk id, so
-// concurrent tile bands never share scratch. ensure grows the arena (count
-// and per-tile capacity) lazily; once the largest conv in a graph has run at
-// the current worker count the steady-state path performs no allocations.
-// biased/prefix hold the layer-wide biased input and its per-row prefix sums
-// (see biasPrefix) — written serially before the tile fan-out, read-only
-// inside it.
+// convScratch owns the per-chunk tile arena: rowSums[id] holds the
+// per-pixel zero-point sums of the band tile id is working on. Tile id ==
+// par chunk id, so concurrent tile bands never share scratch. ensure grows
+// the arena (count and per-tile capacity) lazily; once the largest conv in a
+// graph has run at the current worker count the steady-state path performs
+// no allocations. biased/prefix hold the layer-wide biased input and its
+// per-row prefix sums (see biasPrefixPadded) — written serially before the
+// tile fan-out, read-only inside it.
 type convScratch struct {
-	tiles  []colTile
-	biased []uint8
-	prefix []int32
+	rowSums [][]int32
+	biased  []uint8
+	prefix  []int32
 }
 
 // ensureInput sizes the shared padded-plane/prefix buffers for a c×h×w
@@ -371,27 +328,25 @@ func (s *convScratch) ensureInput(c, h, w, pad int) ([]uint8, []int32) {
 	return s.biased[:nb], s.prefix[:np]
 }
 
-// ensure returns the arena resized to n tiles of at least colBytes/rowInts
-// capacity each.
-func (s *convScratch) ensure(n, colBytes, rowInts int) []colTile {
-	for len(s.tiles) < n {
-		s.tiles = append(s.tiles, colTile{})
+// ensure returns the arena resized to n tiles of at least rowInts
+// zero-point sums each.
+func (s *convScratch) ensure(n, rowInts int) [][]int32 {
+	for len(s.rowSums) < n {
+		s.rowSums = append(s.rowSums, nil)
 	}
 	for i := 0; i < n; i++ {
-		t := &s.tiles[i]
-		if cap(t.cols) < colBytes {
-			t.cols = make([]uint8, colBytes)
-		}
-		if cap(t.rowSum) < rowInts {
-			t.rowSum = make([]int32, rowInts)
+		if cap(s.rowSums[i]) < rowInts {
+			s.rowSums[i] = make([]int32, rowInts)
 		}
 	}
-	return s.tiles[:n]
+	return s.rowSums[:n]
 }
 
-// convTileTargetBytes sizes the im2col band of one GEMM tile to stay
-// L1-resident: the kernel streams every packed weight row over the band, so
-// a hot band is what turns the blocking into a bandwidth win.
+// convTileTargetBytes bounds the biased input taps one GEMM tile reads
+// (ow·rows·C·K², counting each tap once per output pixel) so the band's
+// slice of the padded plane stays L1-resident: the kernel streams every
+// packed weight row over the band, so a hot band is what turns the blocking
+// into a bandwidth win.
 const convTileTargetBytes = 24 << 10
 
 // convTileRows returns how many output rows one tile band covers.
@@ -406,27 +361,28 @@ func convTileRows(ow, ckk, oh int) int {
 	return r
 }
 
-// convInt8 computes an INT8 convolution with int32 accumulation and DPU
-// round-shift requantization. bias is at fix position inFP+weightFP; shift
-// converts the accumulator to the output fix position; shift2 is the
-// store-target fusion's second requantization (0 when unfused). relu
-// applies the fused activation before saturation.
+// convInt8 computes a stride-1 integer convolution with int32 accumulation
+// and DPU round-shift requantization. bias is at fix position
+// inFP+weightFP; shift converts the accumulator to the output fix position;
+// shift2 is the store-target fusion's second requantization (0 when
+// unfused). relu applies the fused activation before saturation. packed
+// and wCorr come from packConvWeights and exist only for the geometries the
+// kernel covers (K² ≤ triChunk, C·K² ≤ maxPackedCKK, see QNode.convPacked);
+// the reference kernel convIntRef runs every other layer.
 //
 // The output plane is processed in cache-blocked tiles — bands of a few
 // output rows, sized by convTileRows — dispatched through par.ForChunkedID
-// with per-chunk scratch from sc, so the im2col band a GEMM tile consumes
-// stays L1-resident and the steady-state path allocates nothing. Within a
-// band the packed weights from packConvWeights run three output channels
-// per 64-bit multiply in 21-bit lanes, four weight rows (12 channels) at a
-// time, two pixels wide (nil packed selects the generic kernel, used when
-// C·K² > maxPackedCKK). Lanes spill into int32 accumulators every triChunk
-// taps so they can never carry; the zero-point correction, bias, optional
-// ReLU and round-shift requantization are fused into the register
-// write-back. The result is bit-identical to the per-weight signed loop it
-// replaces (exact integer identity, including int32 wraparound), and
-// identical at every worker count: tile geometry depends only on the node,
-// and each pixel's accumulation order is fixed.
-func convInt8(src []int8, c, h, w int, weight []int8, packed []uint64, wCorr []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, sc *convScratch) {
+// with per-chunk scratch from sc, so the steady-state path allocates
+// nothing. Within a band the GEMM kernels read tap quads straight off the
+// padded biased input plane, and the packed weights run three output
+// channels per 64-bit multiply in 21-bit lanes. Lanes spill into int32
+// accumulators every triChunk taps so they can never carry; the zero-point
+// correction, bias, optional ReLU and round-shift requantization are fused
+// into the register write-back. The result is bit-identical to the
+// per-weight signed loop it replaces (exact integer identity, including
+// int32 wraparound), and identical at every worker count: tile geometry
+// depends only on the node, and each pixel's accumulation order is fixed.
+func convInt8(src []int8, c, h, w int, packed []uint64, wCorr []int32, bias []int32, outC, k, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, sc *convScratch) {
 	ckk := c * k * k
 	hw := oh * ow
 	rowsPer := convTileRows(ow, ckk, oh)
@@ -435,70 +391,35 @@ func convInt8(src []int8, c, h, w int, weight []int8, packed []uint64, wCorr []i
 	if want > nTiles {
 		want = nTiles
 	}
-	// Stride-1 layers with K² ≤ triChunk taps per channel plane skip the
-	// column matrix entirely: the GEMM kernels read tap quads straight off
-	// the padded biased plane (see convTri2x4Direct). Only the per-pixel
-	// zero-point sums are materialized per band.
-	direct := packed != nil && stride == 1 && k*k <= triChunk
-	colBytes := rowsPer * ow * ckk
-	if direct {
-		colBytes = 0
-	}
-	tiles := sc.ensure(want, colBytes, rowsPer*ow)
+	rowSums := sc.ensure(want, rowsPer*ow)
 	padded, prefix := sc.ensureInput(c, h, w, pad)
 	biasPrefixPadded(src, c, h, w, pad, padded, prefix)
-	par.ForChunkedID(nTiles, len(tiles), func(id, lo, hi int) {
-		tile := &tiles[id]
+	cg := triChunk / (k * k)
+	rows := (outC + 2) / 3
+	par.ForChunkedID(nTiles, len(rowSums), func(id, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			oyLo := t * rowsPer
 			oyHi := oyLo + rowsPer
 			if oyHi > oh {
 				oyHi = oh
 			}
-			npix := (oyHi - oyLo) * ow
-			rowSum := tile.rowSum[:npix]
-			rowSumBand(prefix, c, h, w, k, stride, pad, oyLo, oyHi, ow, rowSum)
-			j0 := oyLo * ow
+			rowSum := rowSums[id][:(oyHi-oyLo)*ow]
+			rowSumBand(prefix, c, h, w, k, pad, oyLo, oyHi, ow, rowSum)
 			// Greedy 2/1-row dispatch: pairs of tri-lane rows run the
 			// 2-row×4-pixel kernel at full multiplier density, a trailing
 			// odd row runs the full-density 1-row×8-pixel kernel. No padded
 			// ghost rows, so narrow layers pay only for the channels they
 			// have.
-			if direct {
-				cg := triChunk / (k * k)
-				rows := (outC + 2) / 3
-				for r0 := 0; r0 < rows; {
-					nch := outC - 3*r0
-					if rows-r0 >= 2 {
-						if nch > 6 {
-							nch = 6
-						}
-						convTri2x4Direct(padded, rowSum, packed, wCorr, bias, r0, nch, c, k, cg, ckk, h, w, pad, shift, shift2, relu, dst, oyLo, oyHi, ow, hw)
-						r0 += 2
-					} else {
-						convTri1x8Direct(padded, rowSum, packed, wCorr, bias, r0, nch, c, k, cg, ckk, h, w, pad, shift, shift2, relu, dst, oyLo, oyHi, ow, hw)
-						r0++
-					}
-				}
-				continue
-			}
-			colT := tile.cols[:npix*ckk]
-			im2colTaps(padded, c, h, w, k, stride, pad, oyLo, oyHi, ow, colT)
-			if packed == nil {
-				convInt8Generic(colT, rowSum, weight, bias, outC, ckk, npix, shift, shift2, relu, dst, j0, hw)
-				continue
-			}
-			rows := (outC + 2) / 3
 			for r0 := 0; r0 < rows; {
 				nch := outC - 3*r0
 				if rows-r0 >= 2 {
 					if nch > 6 {
 						nch = 6
 					}
-					convTri2x4(colT, rowSum, packed, wCorr, bias, r0, nch, ckk, npix, shift, shift2, relu, dst, j0, hw)
+					convTri2x4Direct(padded, rowSum, packed, wCorr, bias, r0, nch, c, k, cg, ckk, h, w, pad, shift, shift2, relu, dst, oyLo, oyHi, ow, hw)
 					r0 += 2
 				} else {
-					convTri1x8(colT, rowSum, packed, wCorr, bias, r0, nch, ckk, npix, shift, shift2, relu, dst, j0, hw)
+					convTri1x8Direct(padded, rowSum, packed, wCorr, bias, r0, nch, c, k, cg, ckk, h, w, pad, shift, shift2, relu, dst, oyLo, oyHi, ow, hw)
 					r0++
 				}
 			}
@@ -539,8 +460,8 @@ func convTriTailDirect(pl []uint8, ph, pw, c, k, cg int, pk []uint64, oy, ox int
 // (up to six output channels) against four neighbouring pixels whose bytes
 // come from one 32-bit load on the padded biased input plane — no column
 // matrix is materialized at all. Lane spills happen once per cg channel
-// planes (cg·K² ≤ triChunk taps), a partition at least as fine as the
-// column path's triChunk, so accumulation stays exact and bit-identical.
+// planes (cg·K² ≤ triChunk taps), so a lane never sums more than triChunk
+// products and accumulation stays exact.
 // Accumulator s[ch·4+q] holds channel 3·r0+ch at pixel (oy, ox+q).
 func convTri2x4Direct(pl []uint8, rowSum []int32, packed []uint64, wCorr, bias []int32, r0, nch, c, k, cg, ckk, h, w, pad int, shift, shift2 int, relu bool, dst []int8, oyLo, oyHi, ow, hw int) {
 	ph, pw := h+2*pad, w+2*pad
@@ -721,9 +642,9 @@ func convTri2x4Direct(pl []uint8, rowSum []int32, packed []uint64, wCorr, bias [
 	}
 }
 
-// convTri1x8Direct handles the last odd tri-lane row against eight pixels
-// per pass with a single 64-bit plane load — the direct-path counterpart of
-// convTri1x8, at the same multiplier density as the paired kernel.
+// convTri1x8Direct handles the last odd tri-lane row (up to three channels)
+// against eight pixels per pass with a single 64-bit plane load, at the same
+// multiplier density as the paired kernel.
 func convTri1x8Direct(pl []uint8, rowSum []int32, packed []uint64, wCorr, bias []int32, r0, nch, c, k, cg, ckk, h, w, pad int, shift, shift2 int, relu bool, dst []int8, oyLo, oyHi, ow, hw int) {
 	ph, pw := h+2*pad, w+2*pad
 	pk := packed[r0*ckk : (r0+1)*ckk]
@@ -849,247 +770,6 @@ func convTri1x8Direct(pl []uint8, rowSum []int32, packed []uint64, wCorr, bias [
 				oc := oc0 + ch
 				dst[oc*hw+oy*ow+ox] = finalizeFused(lane[ch]-rs+wCorr[oc], bias[oc], relu, shift, shift2)
 			}
-		}
-	}
-}
-
-// convTriTailPixel accumulates the three 21-bit lanes of one packed weight
-// row against a single pixel's tap column in the tap-major band (stride
-// npix between taps), spilling lanes every triChunk taps.
-func convTriTailPixel(colT []uint8, npix, j int, pk []uint64, ckk int) (int32, int32, int32) {
-	var l0, l1, l2 int32
-	for base := 0; base < ckk; base += triChunk {
-		end := base + triChunk
-		if end > ckk {
-			end = ckk
-		}
-		off := base*npix + j
-		var a uint64
-		for _, u := range pk[base:end] {
-			a += u * uint64(colT[off])
-			off += npix
-		}
-		l0 += int32(a & triLaneMask)
-		l1 += int32((a >> 21) & triLaneMask)
-		l2 += int32(a >> 42)
-	}
-	return l0, l1, l2
-}
-
-// convTri2x4 is the workhorse GEMM tile: two tri-lane weight rows (up to six
-// output channels) against four neighbouring pixels whose bytes arrive in a
-// single 32-bit load from the tap-major column band. Eight independent
-// accumulator chains keep the scalar multiplier saturated at full tri-lane
-// density even on narrow layers, where wider row blocking would burn ghost
-// rows. Accumulator s[c*4+q] holds channel 3·r0+c at pixel j+q.
-func convTri2x4(colT []uint8, rowSum []int32, packed []uint64, wCorr, bias []int32, r0, nch, ckk, npix, shift, shift2 int, relu bool, dst []int8, j0, hw int) {
-	pkA := packed[(r0+0)*ckk : (r0+1)*ckk]
-	pkB := packed[(r0+1)*ckk : (r0+2)*ckk]
-	oc0 := 3 * r0
-	fast := shift > 0 && shift2 >= 0
-	var us, us2 uint
-	var half, half2 int64
-	if fast {
-		us, half = uint(shift), int64(1)<<uint(shift-1)
-		if shift2 > 0 {
-			us2, half2 = uint(shift2), int64(1)<<uint(shift2-1)
-		}
-	}
-	var s [24]int32
-	j := 0
-	for ; j+3 < npix; j += 4 {
-		for i := range s {
-			s[i] = 0
-		}
-		for base := 0; base < ckk; base += triChunk {
-			end := base + triChunk
-			if end > ckk {
-				end = ckk
-			}
-			q0 := pkA[base:end]
-			q1 := pkB[base:end]
-			q1 = q1[:len(q0)]
-			off := base*npix + j
-			var a0, a1, a2, a3, b0, b1, b2, b3 uint64
-			for p := range q0 {
-				quad := binary.LittleEndian.Uint32(colT[off:])
-				v0 := uint64(quad & 0xff)
-				v1 := uint64((quad >> 8) & 0xff)
-				v2 := uint64((quad >> 16) & 0xff)
-				v3 := uint64(quad >> 24)
-				u0, u1 := q0[p], q1[p]
-				a0 += u0 * v0
-				a1 += u0 * v1
-				a2 += u0 * v2
-				a3 += u0 * v3
-				b0 += u1 * v0
-				b1 += u1 * v1
-				b2 += u1 * v2
-				b3 += u1 * v3
-				off += npix
-			}
-			s[0] += int32(a0 & triLaneMask)
-			s[4] += int32((a0 >> 21) & triLaneMask)
-			s[8] += int32(a0 >> 42)
-			s[1] += int32(a1 & triLaneMask)
-			s[5] += int32((a1 >> 21) & triLaneMask)
-			s[9] += int32(a1 >> 42)
-			s[2] += int32(a2 & triLaneMask)
-			s[6] += int32((a2 >> 21) & triLaneMask)
-			s[10] += int32(a2 >> 42)
-			s[3] += int32(a3 & triLaneMask)
-			s[7] += int32((a3 >> 21) & triLaneMask)
-			s[11] += int32(a3 >> 42)
-			s[12] += int32(b0 & triLaneMask)
-			s[16] += int32((b0 >> 21) & triLaneMask)
-			s[20] += int32(b0 >> 42)
-			s[13] += int32(b1 & triLaneMask)
-			s[17] += int32((b1 >> 21) & triLaneMask)
-			s[21] += int32(b1 >> 42)
-			s[14] += int32(b2 & triLaneMask)
-			s[18] += int32((b2 >> 21) & triLaneMask)
-			s[22] += int32(b2 >> 42)
-			s[15] += int32(b3 & triLaneMask)
-			s[19] += int32((b3 >> 21) & triLaneMask)
-			s[23] += int32(b3 >> 42)
-		}
-		if fast {
-			for c := 0; c < nch; c++ {
-				oc := oc0 + c
-				wc, bi := s[c*4:c*4+4], int64(bias[oc])
-				d := dst[oc*hw+j0+j:]
-				d = d[:4]
-				corr := wCorr[oc]
-				for q := 0; q < 4; q++ {
-					v := int64(wc[q]-rowSum[j+q]+corr) + bi
-					if relu {
-						v &^= v >> 63
-					}
-					r := roundSat8(v, us, half)
-					if us2 != 0 {
-						r = roundSat8(int64(r), us2, half2)
-					}
-					d[q] = r
-				}
-			}
-		} else {
-			for c := 0; c < nch; c++ {
-				oc := oc0 + c
-				d := dst[oc*hw+j0+j:]
-				for q := 0; q < 4; q++ {
-					d[q] = finalizeFused(s[c*4+q]-rowSum[j+q]+wCorr[oc], bias[oc], relu, shift, shift2)
-				}
-			}
-		}
-	}
-	// Tail pixels (band width not a multiple of four) run strided.
-	for ; j < npix; j++ {
-		rs := rowSum[j]
-		l0, l1, l2 := convTriTailPixel(colT, npix, j, pkA, ckk)
-		m0, m1, m2 := convTriTailPixel(colT, npix, j, pkB, ckk)
-		lane := [6]int32{l0, l1, l2, m0, m1, m2}
-		for c := 0; c < nch; c++ {
-			oc := oc0 + c
-			dst[oc*hw+j0+j] = finalizeFused(lane[c]-rs+wCorr[oc], bias[oc], relu, shift, shift2)
-		}
-	}
-}
-
-// convTri1x8 handles the last odd tri-lane row (up to three channels):
-// one weight row against eight pixels per pass, whose bytes arrive in a
-// single 64-bit load. Eight accumulator chains keep this remainder row at
-// the same multiplier density as the paired kernel above.
-func convTri1x8(colT []uint8, rowSum []int32, packed []uint64, wCorr, bias []int32, r0, nch, ckk, npix, shift, shift2 int, relu bool, dst []int8, j0, hw int) {
-	pk := packed[r0*ckk : (r0+1)*ckk]
-	oc0 := 3 * r0
-	var s [24]int32
-	j := 0
-	for ; j+7 < npix; j += 8 {
-		for i := range s {
-			s[i] = 0
-		}
-		for base := 0; base < ckk; base += triChunk {
-			end := base + triChunk
-			if end > ckk {
-				end = ckk
-			}
-			q0 := pk[base:end]
-			off := base*npix + j
-			var a0, a1, a2, a3, a4, a5, a6, a7 uint64
-			for _, u := range q0 {
-				oct := binary.LittleEndian.Uint64(colT[off:])
-				a0 += u * (oct & 0xff)
-				a1 += u * ((oct >> 8) & 0xff)
-				a2 += u * ((oct >> 16) & 0xff)
-				a3 += u * ((oct >> 24) & 0xff)
-				a4 += u * ((oct >> 32) & 0xff)
-				a5 += u * ((oct >> 40) & 0xff)
-				a6 += u * ((oct >> 48) & 0xff)
-				a7 += u * (oct >> 56)
-				off += npix
-			}
-			s[0] += int32(a0 & triLaneMask)
-			s[8] += int32((a0 >> 21) & triLaneMask)
-			s[16] += int32(a0 >> 42)
-			s[1] += int32(a1 & triLaneMask)
-			s[9] += int32((a1 >> 21) & triLaneMask)
-			s[17] += int32(a1 >> 42)
-			s[2] += int32(a2 & triLaneMask)
-			s[10] += int32((a2 >> 21) & triLaneMask)
-			s[18] += int32(a2 >> 42)
-			s[3] += int32(a3 & triLaneMask)
-			s[11] += int32((a3 >> 21) & triLaneMask)
-			s[19] += int32(a3 >> 42)
-			s[4] += int32(a4 & triLaneMask)
-			s[12] += int32((a4 >> 21) & triLaneMask)
-			s[20] += int32(a4 >> 42)
-			s[5] += int32(a5 & triLaneMask)
-			s[13] += int32((a5 >> 21) & triLaneMask)
-			s[21] += int32(a5 >> 42)
-			s[6] += int32(a6 & triLaneMask)
-			s[14] += int32((a6 >> 21) & triLaneMask)
-			s[22] += int32(a6 >> 42)
-			s[7] += int32(a7 & triLaneMask)
-			s[15] += int32((a7 >> 21) & triLaneMask)
-			s[23] += int32(a7 >> 42)
-		}
-		for c := 0; c < nch; c++ {
-			oc := oc0 + c
-			d := dst[oc*hw+j0+j:]
-			for q := 0; q < 8; q++ {
-				d[q] = finalizeFused(s[c*8+q]-rowSum[j+q]+wCorr[oc], bias[oc], relu, shift, shift2)
-			}
-		}
-	}
-	for ; j < npix; j++ {
-		rs := rowSum[j]
-		l0, l1, l2 := convTriTailPixel(colT, npix, j, pk, ckk)
-		lane := [3]int32{l0, l1, l2}
-		for c := 0; c < nch; c++ {
-			oc := oc0 + c
-			dst[oc*hw+j0+j] = finalizeFused(lane[c]-rs+wCorr[oc], bias[oc], relu, shift, shift2)
-		}
-	}
-}
-
-// convInt8Generic is the unpacked fallback for reductions too deep for
-// lane-safe packing. It walks the tap-major column band with stride npix,
-// unbiasing inline; accumulation order matches the packed kernels tap for
-// tap. Runs serially — the tile dispatch above it carries the parallelism.
-func convInt8Generic(colT []uint8, rowSum []int32, weight []int8, bias []int32, outC, ckk, npix, shift, shift2 int, relu bool, dst []int8, j0, hw int) {
-	_ = rowSum
-	for oc := 0; oc < outC; oc++ {
-		wr := weight[oc*ckk : (oc+1)*ckk]
-		d := dst[oc*hw+j0:]
-		b := bias[oc]
-		for j := 0; j < npix; j++ {
-			var s int32
-			off := j
-			for _, wv := range wr {
-				s += int32(wv) * (int32(colT[off]) - 128)
-				off += npix
-			}
-			d[j] = finalizeFused(s, b, relu, shift, shift2)
 		}
 	}
 }
@@ -1247,114 +927,36 @@ func dconvTriPixel(xr []uint8, packed []uint64, r0, nr, c int, s *[12]int32) {
 	}
 }
 
-// convTransposeInt8 computes an INT8 transpose convolution: cols = Wᵀ·x in
-// int32, then a col2im scatter, and a fused bias+ReLU+requantization
+// convTransposeInt8 computes an integer transpose convolution: cols = Wᵀ·x
+// in int32, then a col2im scatter, and a fused bias+ReLU+requantization
 // finalization (shift2 is the store-target fusion's second requantization,
-// 0 when unfused). weight layout is [InC, OutC, K, K] as in the FP32 graph.
+// 0 when unfused). packed and wCorrT come from packDconvWeights; the
+// reference kernel convTransposeIntRef covers layers too deep to pack.
 //
-// The caller provides cols32 (≥ OutC·K²·H·W int32) for the column matrix,
-// acc (≥ OutC·OH·OW int32) for the scatter accumulators, and — for the
-// packed fast path — xT (≥ C·H·W bytes) and colSum (≥ H·W int32) for the
-// biased HWC transpose of the input. With packed weights from
-// packDconvWeights the column GEMM runs up to twelve rows per biased-byte
-// stream in 21-bit tri lanes exactly like convInt8; nil packed selects the
-// tiled generic GEMM (used when InC > maxPackedCKK). The scatter hoists the
-// boundary clipping out of the pixel loops. Both GEMMs produce identical
-// int32 columns.
-func convTransposeInt8(src []int8, c, h, w int, weight []int8, packed []uint64, wCorrT []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, xT []uint8, colSum []int32, cols32 []int32, acc []int32) {
+// The caller provides xT (≥ C·H·W bytes) and colSum (≥ H·W int32) for the
+// biased HWC transpose of the input, cols32 (≥ OutC·K²·H·W int32) for the
+// column matrix and acc (≥ OutC·OH·OW int32) for the scatter accumulators.
+// The column GEMM runs up to twelve rows per biased-byte stream in 21-bit
+// tri lanes exactly like convInt8, and the scatter hoists the boundary
+// clipping out of the pixel loops.
+func convTransposeInt8(src []int8, c, h, w int, packed []uint64, wCorrT []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, xT []uint8, colSum []int32, cols32 []int32, acc []int32) {
 	ckk := outC * k * k
 	hw := h * w
 	cols := cols32[:ckk*hw]
-	// cols[r, j] = Σ_ic W[ic, r] · x[ic, j]
-	if packed != nil {
-		xT = xT[:hw*c]
-		colSum = colSum[:hw]
-		transposeBiased(src, c, hw, xT, colSum)
-		// Weight rows are padded to a multiple of four (ghost rows all-zero),
-		// so every block runs the fully-unrolled kernel; nrow bounds the
-		// column rows written back.
-		rows := (ckk + 2) / 3
-		par.For((rows+3)/4, func(b int) {
-			r0 := 4 * b
-			nrow := ckk - 3*r0
-			if nrow > 12 {
-				nrow = 12
-			}
-			dconvTri4(xT, colSum, packed, wCorrT, r0, nrow, c, cols, hw)
-		})
-		scatterFinalize(cols, bias, outC, k, stride, pad, shift, shift2, relu, dst, h, w, oh, ow, acc)
-		return
-	}
-	blocks := (ckk + 3) / 4
-	par.For(blocks, func(b int) {
+	xT = xT[:hw*c]
+	colSum = colSum[:hw]
+	transposeBiased(src, c, hw, xT, colSum)
+	// cols[r, j] = Σ_ic W[ic, r] · x[ic, j]. Weight rows are padded to a
+	// multiple of four (ghost rows all-zero), so every block runs the
+	// fully-unrolled kernel; nrow bounds the column rows written back.
+	rows := (ckk + 2) / 3
+	par.For((rows+3)/4, func(b int) {
 		r0 := 4 * b
-		nb := ckk - r0
-		if nb > 4 {
-			nb = 4
+		nrow := ckk - 3*r0
+		if nrow > 12 {
+			nrow = 12
 		}
-		tile := cols[r0*hw : (r0+nb)*hw]
-		clearInt32(tile)
-		a0 := tile[0*hw : 1*hw]
-		a1, a2, a3 := a0, a0, a0
-		if nb > 1 {
-			a1 = tile[1*hw : 2*hw]
-		}
-		if nb > 2 {
-			a2 = tile[2*hw : 3*hw]
-		}
-		if nb > 3 {
-			a3 = tile[3*hw : 4*hw]
-		}
-		var w0, w1, w2, w3 int32
-		for ic := 0; ic < c; ic++ {
-			wrow := weight[ic*ckk:]
-			w0 = int32(wrow[r0])
-			w1, w2, w3 = 0, 0, 0
-			if nb > 1 {
-				w1 = int32(wrow[r0+1])
-			}
-			if nb > 2 {
-				w2 = int32(wrow[r0+2])
-			}
-			if nb > 3 {
-				w3 = int32(wrow[r0+3])
-			}
-			if w0|w1|w2|w3 == 0 {
-				continue
-			}
-			xrow := src[ic*hw : (ic+1)*hw]
-			switch nb {
-			case 4:
-				b0, b1, b2, b3 := a0[:len(xrow)], a1[:len(xrow)], a2[:len(xrow)], a3[:len(xrow)]
-				for j, xv := range xrow {
-					v := int32(xv)
-					b0[j] += w0 * v
-					b1[j] += w1 * v
-					b2[j] += w2 * v
-					b3[j] += w3 * v
-				}
-			case 3:
-				b0, b1, b2 := a0[:len(xrow)], a1[:len(xrow)], a2[:len(xrow)]
-				for j, xv := range xrow {
-					v := int32(xv)
-					b0[j] += w0 * v
-					b1[j] += w1 * v
-					b2[j] += w2 * v
-				}
-			case 2:
-				b0, b1 := a0[:len(xrow)], a1[:len(xrow)]
-				for j, xv := range xrow {
-					v := int32(xv)
-					b0[j] += w0 * v
-					b1[j] += w1 * v
-				}
-			default:
-				b0 := a0[:len(xrow)]
-				for j, xv := range xrow {
-					b0[j] += w0 * int32(xv)
-				}
-			}
-		}
+		dconvTri4(xT, colSum, packed, wCorrT, r0, nrow, c, cols, hw)
 	})
 	scatterFinalize(cols, bias, outC, k, stride, pad, shift, shift2, relu, dst, h, w, oh, ow, acc)
 }

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// refConvInt8 is a direct (unoptimized) int8 convolution used to validate
-// the im2col-based kernel.
+// refConvInt8 is a direct (unoptimized) int8 convolution, written
+// independently of both the packed kernels and the lowbit.go reference
+// kernels, that validates them.
 func refConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift int, relu bool, oh, ow int) []int8 {
 	out := make([]int8, outC*oh*ow)
 	for oc := 0; oc < outC; oc++ {
@@ -56,14 +57,18 @@ func TestConvInt8MatchesReference(t *testing.T) {
 	for _, relu := range []bool{false, true} {
 		for _, shift := range []int{0, 3, 7} {
 			want := refConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, shift, relu, oh, ow)
-			// Packed tri-lane kernel and the generic fallback must both
-			// reproduce the reference bit for bit.
-			for _, pk := range [][]uint64{packed, nil} {
+			// The packed tri-lane kernel and the reference fallback at 8 bits
+			// must both reproduce the reference bit for bit.
+			for _, packedPath := range []bool{true, false} {
 				got := make([]int8, outC*oh*ow)
-				convInt8(src, c, h, w, weight, pk, wCorr, bias, outC, k, stride, pad, shift, 0, relu, got, oh, ow, new(convScratch))
+				if packedPath {
+					convInt8(src, c, h, w, packed, wCorr, bias, outC, k, pad, shift, 0, relu, got, oh, ow, new(convScratch))
+				} else {
+					convIntRef(src, c, h, w, weight, bias, outC, k, stride, pad, shift, 0, relu, Bits8, got, oh, ow)
+				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("relu=%v shift=%d packed=%v: pixel %d: %d vs %d", relu, shift, pk != nil, i, got[i], want[i])
+						t.Fatalf("relu=%v shift=%d packed=%v: pixel %d: %d vs %d", relu, shift, packedPath, i, got[i], want[i])
 					}
 				}
 			}
@@ -93,7 +98,7 @@ func TestConvInt8OddChannels(t *testing.T) {
 		want := refConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, 5, true, oh, ow)
 		packed, wCorr := packConvWeights(weight, outC, c*k*k)
 		got := make([]int8, outC*oh*ow)
-		convInt8(src, c, h, w, weight, packed, wCorr, bias, outC, k, stride, pad, 5, 0, true, got, oh, ow, new(convScratch))
+		convInt8(src, c, h, w, packed, wCorr, bias, outC, k, pad, 5, 0, true, got, oh, ow, new(convScratch))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("outC=%d: pixel %d: %d vs %d", outC, i, got[i], want[i])
@@ -118,7 +123,7 @@ func TestConvTransposeInt8IsAdjointShape(t *testing.T) {
 	bias := make([]int32, outC)
 	dst := make([]int8, outC*oh*ow)
 	packed, wCorr := packDconvWeights(weight, c, outC*k*k)
-	convTransposeInt8(src, c, h, w, weight, packed, wCorr, bias, outC, k, stride, pad, 4, 0, false, dst, oh, ow,
+	convTransposeInt8(src, c, h, w, packed, wCorr, bias, outC, k, stride, pad, 4, 0, false, dst, oh, ow,
 		make([]uint8, c*h*w), make([]int32, h*w), make([]int32, outC*k*k*h*w), make([]int32, roundUp4(outC)*oh*ow))
 	var nonzero int
 	for _, v := range dst {
@@ -167,13 +172,17 @@ func TestConvTransposeInt8MatchesFloat(t *testing.T) {
 		}
 	}
 	packed, wCorr := packDconvWeights(weight, c, outC*k*k)
-	// Packed dual-lane GEMM and the generic tiled GEMM must agree with the
-	// exact reference.
-	for _, pk := range [][]uint64{packed, nil} {
+	// The packed tri-lane GEMM and the reference fallback at 8 bits must
+	// agree with the exact reference.
+	for _, packedPath := range []bool{true, false} {
 		dst := make([]int8, outC*oh*ow)
-		convTransposeInt8(src, c, h, w, weight, pk, wCorr, bias, outC, k, stride, pad, 0, 0, false, dst, oh, ow,
-			make([]uint8, c*h*w), make([]int32, h*w), make([]int32, outC*k*k*h*w), make([]int32, roundUp4(outC)*oh*ow))
-		checkTransposeAgainstRef(t, dst, ref, bias, outC, oh, ow, pk != nil)
+		if packedPath {
+			convTransposeInt8(src, c, h, w, packed, wCorr, bias, outC, k, stride, pad, 0, 0, false, dst, oh, ow,
+				make([]uint8, c*h*w), make([]int32, h*w), make([]int32, outC*k*k*h*w), make([]int32, roundUp4(outC)*oh*ow))
+		} else {
+			convTransposeIntRef(src, c, h, w, weight, bias, outC, k, stride, pad, 0, 0, false, Bits8, dst, oh, ow)
+		}
+		checkTransposeAgainstRef(t, dst, ref, bias, outC, oh, ow, packedPath)
 	}
 }
 
@@ -255,34 +264,5 @@ func TestArgmaxChannelsInt8(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("argmax[%d] = %d, want %d", i, got[i], want[i])
 		}
-	}
-}
-
-func TestIm2ColInt8ZeroPadding(t *testing.T) {
-	src := []int8{1, 2, 3, 4} // 1×2×2
-	// Tap-major biased layout: one row of npix pixels per C·K² tap,
-	// each stored as tap+128 (padding = 128).
-	const npix = 4
-	dst := make([]uint8, 9*npix)
-	rowSum := make([]int32, npix)
-	im2colInt8(src, 1, 2, 2, 3, 1, 1, dst, rowSum, 2, 2)
-	// Each pixel's center tap (tap index 4) is the pixel itself.
-	for j, want := range []uint8{129, 130, 131, 132} {
-		if dst[4*npix+j] != want {
-			t.Fatalf("pixel %d center tap = %d, want %d (tap row %v)", j, dst[4*npix+j], want, dst[4*npix:5*npix])
-		}
-	}
-	// Pixel 0's tap column (stride npix): taps outside the 2×2 image are
-	// the biased zero 128, the in-bounds 2×2 window lands at taps 4,5,7,8.
-	wantCol := []uint8{128, 128, 128, 128, 129, 130, 128, 131, 132}
-	sum := int32(0)
-	for p, want := range wantCol {
-		if dst[p*npix] != want {
-			t.Fatalf("pixel 0 tap %d = %d, want col %v", p, dst[p*npix], wantCol)
-		}
-		sum += int32(want)
-	}
-	if rowSum[0] != 128*sum {
-		t.Fatalf("rowSum[0] = %d, want %d", rowSum[0], 128*sum)
 	}
 }

@@ -2,17 +2,20 @@ package quant
 
 import "seneca/internal/par"
 
-// Reference kernels for the non-INT8 precisions of a mixed-precision graph
-// (QConfig): plain gather loops, parallel over output channels only, so
-// results are bit-identical for any par.SetMaxWorkers setting. The INT8
-// hot path (kernels.go) is untouched — these layers are the search
-// candidates, not the deployed steady state, and the DPU timing model
-// prices them independently of how fast this host simulation runs.
+// Reference kernels: plain gather loops, parallel over output channels
+// only, so results are bit-identical for any par.SetMaxWorkers setting.
+// The integer pair is the independent oracle the packed kernels in
+// kernels.go are tested against, and the executor's fallback for the rare
+// integer geometries those kernels do not cover (stride ≠ 1, K² > triChunk,
+// reductions deeper than maxPackedCKK), at any bitwidth. The FP32 pair
+// executes FP32-fallback layers of a mixed-precision graph (QConfig).
 
-// convIntRef is the narrow-precision convolution: int8-stored codes in,
+// convIntRef is the reference integer convolution: int8-stored codes in,
 // bits-wide saturating write-back out. Power-of-two scales keep the
-// requantization a RoundShiftBits.
-func convIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, outC, k, stride, pad, shift int, relu bool, bits int, dst []int8, outH, outW int) {
+// requantization a RoundShiftBits; shift2 is the store-target fusion's
+// second round-shift (0 when unfused), applied separately exactly as the
+// packed kernels' write-back does.
+func convIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, bits int, dst []int8, outH, outW int) {
 	hw := outH * outW
 	par.For(outC, func(oc int) {
 		var b int64
@@ -40,21 +43,31 @@ func convIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, outC, k, 
 						}
 					}
 				}
-				v := RoundShiftBits(acc, shift, bits)
-				if relu && v < 0 {
-					v = 0
-				}
-				dst[oc*hw+oy*outW+ox] = v
+				dst[oc*hw+oy*outW+ox] = writeBackRef(acc, shift, shift2, relu, bits)
 			}
 		}
 	})
+}
+
+// writeBackRef is the reference kernels' requantization of one accumulator
+// (bias included): round-shift with bits-wide saturation, the fused ReLU,
+// then the optional store-target second shift.
+func writeBackRef(acc int64, shift, shift2 int, relu bool, bits int) int8 {
+	v := RoundShiftBits(acc, shift, bits)
+	if relu && v < 0 {
+		v = 0
+	}
+	if shift2 != 0 {
+		v = RoundShift(int64(v), shift2)
+	}
+	return v
 }
 
 // convTransposeIntRef is convIntRef's transpose counterpart, written as an
 // output-centric gather (every output pixel collects the input taps that
 // scatter onto it), so no accumulator plane is needed. Weight layout is
 // [InC, OutC, K, K] as on the graph node.
-func convTransposeIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, outC, k, stride, pad, shift int, relu bool, bits int, dst []int8, outH, outW int) {
+func convTransposeIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, bits int, dst []int8, outH, outW int) {
 	hw := outH * outW
 	kk := k * k
 	par.For(outC, func(oc int) {
@@ -89,11 +102,7 @@ func convTransposeIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, 
 						}
 					}
 				}
-				v := RoundShiftBits(acc, shift, bits)
-				if relu && v < 0 {
-					v = 0
-				}
-				dst[oc*hw+oy*outW+ox] = v
+				dst[oc*hw+oy*outW+ox] = writeBackRef(acc, shift, shift2, relu, bits)
 			}
 		}
 	})

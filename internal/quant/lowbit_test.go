@@ -114,10 +114,11 @@ func TestQConfigFP32Fallback(t *testing.T) {
 	}
 }
 
-// TestMixedPrecisionDeterministic pins the mixed-precision reference path
-// (INT4 and FP32 layers) to be bit-identical across runs and worker-pool
-// sizes: the kernels parallelize over output channels only, so the
-// accumulation order never changes.
+// TestMixedPrecisionDeterministic pins a mixed-precision graph (INT4 and
+// FP32 layers) to be bit-identical across runs and worker-pool sizes: INT4
+// layers run the tiled integer kernels, whose tiles depend only on the node,
+// and the FP32 reference kernels parallelize over output channels only, so
+// the accumulation order never changes.
 func TestMixedPrecisionDeterministic(t *testing.T) {
 	_, g, calib := buildTestModel(t)
 	names := convNames(t, g)

@@ -20,9 +20,10 @@ type QNode struct {
 
 	// Weight is the quantized kernel (Conv: [OutC,InC,K,K] flattened;
 	// ConvTranspose: [InC,OutC,K,K] flattened) at fix position WeightFP.
-	// For an INT4 layer the codes live in [-8,7] (still one int8 each — the
-	// reference path trades storage for simplicity; only the timing model
-	// prices the packed 4-bit footprint). Nil for an FP32-fallback layer.
+	// For an INT4 layer the codes live in [-8,7] (still one int8 each — a
+	// subset of the int8 grid, so the integer kernels run them unchanged;
+	// only the timing model prices the packed 4-bit footprint). Nil for an
+	// FP32-fallback layer.
 	Weight   []int8
 	WeightFP FixPos
 	// Bias is int32 at fix position InFP+WeightFP (the accumulator grid).
@@ -62,11 +63,12 @@ type QNode struct {
 	StoreOffset int
 	StoreShift  int
 
-	// packOnce guards the lazy biased-weight packing used by the fast INT8
-	// convolution kernel (packConvWeights). Weight is immutable once the
-	// graph is quantized (FFQ bias correction touches Bias only), so the
-	// packed form is computed once and shared read-only by every pooled
-	// executor running this graph, including vart's concurrent threads.
+	// packOnce guards the lazy biased-weight packing used by the packed
+	// integer convolution kernels (packConvWeights, packDconvWeights).
+	// Weight is immutable once the graph is quantized (FFQ bias correction
+	// touches Bias only), so the packed form is computed once and shared
+	// read-only by every pooled executor running this graph, including
+	// vart's concurrent threads.
 	packOnce sync.Once
 	packedW  []uint64
 	wCorr    []int32
@@ -105,24 +107,29 @@ func (n *QNode) Clone() *QNode {
 	}
 }
 
-// convPacked returns the tri-lane packed weight matrix and per-channel
-// zero-point corrections for a convolution node, packing them on first use.
-// It returns nil slices when C·K² exceeds maxPackedCKK (per-lane sums could
-// carry into the neighbouring lane); callers then use the generic kernel.
+// convPacked is the integer engine's single geometry test for a convolution
+// node: it returns the tri-lane packed weight matrix and per-channel
+// zero-point corrections (packing them on first use) when the packed
+// kernels cover the layer — stride 1, K² ≤ triChunk taps per channel plane
+// and C·K² ≤ maxPackedCKK, so no lane sum can carry — and nil slices
+// otherwise, in which case the executor runs the reference kernel convIntRef.
+// Every convolution of an exported U-Net passes, at any integer bitwidth.
 func (n *QNode) convPacked() ([]uint64, []int32) {
 	n.packOnce.Do(func() {
-		ckk := n.InC * n.Kernel * n.Kernel
-		if ckk <= maxPackedCKK {
-			n.packedW, n.wCorr = packConvWeights(n.Weight, n.OutC, ckk)
+		kk := n.Kernel * n.Kernel
+		if n.Stride == 1 && kk <= triChunk && n.InC*kk <= maxPackedCKK {
+			n.packedW, n.wCorr = packConvWeights(n.Weight, n.OutC, n.InC*kk)
 		}
 	})
 	return n.packedW, n.wCorr
 }
 
 // dconvPacked is convPacked's transpose-convolution counterpart: triples of
-// column rows (OutC·K² of them) packed over the InC reduction axis. A node
-// is either Conv or ConvTranspose, so the two packings share the guard and
-// cache fields without conflict.
+// column rows (OutC·K² of them) packed over the InC reduction axis. The
+// transposed GEMM handles any stride and kernel size, so the only geometry
+// test is the reduction depth InC ≤ maxPackedCKK; deeper layers run
+// convTransposeIntRef. A node is either Conv or ConvTranspose, so the two
+// packings share the guard and cache fields without conflict.
 func (n *QNode) dconvPacked() ([]uint64, []int32) {
 	n.packOnce.Do(func() {
 		if n.InC <= maxPackedCKK {

@@ -302,9 +302,11 @@ func fuseStoreTargets(q *quant.QGraph) {
 			if p == nil {
 				return // malformed graph; leave lowering to report it
 			}
-			// Non-INT8 producers use the reference kernels, which write back
-			// with their own clamp and do not implement the fused double
-			// round-shift — those sides keep the explicit concat copy.
+			// Only INT8 producers fuse. An INT4 producer's 4-bit clamp runs
+			// after the shared integer kernels' 8-bit write-back, so a fused
+			// second round-shift would land before that clamp; FP32-fallback
+			// producers requantize in float with no fused write-back at all.
+			// Those sides keep the explicit concat copy.
 			fusable := (p.Kind == graph.KindConv || p.Kind == graph.KindConvTranspose) &&
 				consumers[inName] == 1 && inName != q.OutputName && p.StoreTarget == "" &&
 				effNodeBits(p) == quant.Bits8
